@@ -204,6 +204,15 @@ class JoinSizeEstimator:
         self._prepared: List[PreparedJoinPredicate] = [
             self._prepare(p) for p in query.predicates if p.is_join
         ]
+        # Per-table eligibility index: for every table, the join predicates
+        # touching it as ``(position in _prepared, predicate, other table)``,
+        # in ``_prepared`` order.  A join predicate links exactly two
+        # tables, so eligibility is a membership test on the other one.
+        self._by_table: Dict[str, List[Tuple[int, PreparedJoinPredicate, str]]] = {}
+        for position, prepared in enumerate(self._prepared):
+            left, right = prepared.predicate.left.table, prepared.predicate.right.table
+            self._by_table.setdefault(left, []).append((position, prepared, right))
+            self._by_table.setdefault(right, []).append((position, prepared, left))
         self._representatives = self._derive_representatives()
 
     # -- public accessors --------------------------------------------------
@@ -260,13 +269,13 @@ class JoinSizeEstimator:
         "the query optimizer only needs to consider the predicates that
         link columns in table R with the corresponding columns in a second
         table S that is present in table I."
+
+        Answered from the per-table index, so only ``table``'s own
+        predicates are looked at; returned in ``prepared_predicates``
+        order, which fixes the order in which the selectivities multiply.
         """
-        result = []
-        for prepared in self._prepared:
-            tables = prepared.tables
-            if table in tables and (tables - {table}) <= joined:
-                result.append(prepared)
-        return tuple(result)
+        entries = self._by_table.get(table, ())
+        return tuple([prepared for _, prepared, other in entries if other in joined])
 
     def join(self, state: EstimateState, table: str) -> Tuple[EstimateState, StepEstimate]:
         """Join the next table into the intermediate result.
@@ -294,13 +303,26 @@ class JoinSizeEstimator:
     def eligible_between(
         self, left: FrozenSet[str], right: FrozenSet[str]
     ) -> Tuple[PreparedJoinPredicate, ...]:
-        """Join predicates linking two disjoint table sets (bushy joins)."""
-        result = []
-        for prepared in self._prepared:
-            tables = prepared.tables
-            if (tables & left) and (tables & right) and tables <= (left | right):
-                result.append(prepared)
-        return tuple(result)
+        """Join predicates linking two disjoint table sets (bushy joins).
+
+        Walks the per-table index of the smaller side and returns the
+        predicates in ``prepared_predicates`` order, like :meth:`eligible`.
+
+        Raises:
+            EstimationError: if the two sets overlap.
+        """
+        if not left.isdisjoint(right):
+            raise EstimationError(
+                f"cannot join overlapping sets {sorted(left)} and {sorted(right)}"
+            )
+        smaller, larger = (left, right) if len(left) <= len(right) else (right, left)
+        found = []
+        for table in smaller:
+            for entry in self._by_table.get(table, ()):
+                if entry[2] in larger:
+                    found.append(entry)
+        found.sort()  # by position: unique, so predicates are never compared
+        return tuple([prepared for _, prepared, _ in found])
 
     def join_states(
         self, left: EstimateState, right: EstimateState
@@ -318,11 +340,6 @@ class JoinSizeEstimator:
         Raises:
             EstimationError: if the two sets overlap.
         """
-        if left.tables & right.tables:
-            raise EstimationError(
-                f"cannot join overlapping sets {sorted(left.tables)} and "
-                f"{sorted(right.tables)}"
-            )
         eligible = self.eligible_between(left.tables, right.tables)
         selectivity, used = self._combine(eligible)
         rows = left.rows * right.rows * selectivity

@@ -22,7 +22,8 @@ calibration against 1994 hardware is out of scope (see DESIGN.md).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Dict
 
 __all__ = ["CostModel"]
 
@@ -45,12 +46,20 @@ class CostModel:
     buffer_pages: int = 64
     cpu_weight: float = 0.001
     materialize_output: bool = True
+    #: Rows per page by row width, filled on first use of each width; the
+    #: fields it derives from are frozen, so it never goes stale.
+    _per_page: Dict[int, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def pages(self, rows: float, row_width: int) -> float:
         """Pages needed to hold ``rows`` tuples of the given width."""
         if rows <= 0:
             return 0.0
-        per_page = max(1.0, self.page_size / max(1, row_width))
+        per_page = self._per_page.get(row_width)
+        if per_page is None:
+            per_page = max(1.0, self.page_size / max(1, row_width))
+            self._per_page[row_width] = per_page
         return math.ceil(rows / per_page)
 
     # -- scans -----------------------------------------------------------

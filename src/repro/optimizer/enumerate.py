@@ -13,15 +13,29 @@ products are deferred: an expansion without any eligible join predicate is
 considered only when a subset has no connected expansion at all (the paper:
 "most query optimizers would avoid the join order beginning with
 (R1 >< R3) since this would be evaluated as a cartesian product").
+
+Hot-path layout, none of which changes the chosen plan:
+
+* **Bitmask DP tables.**  Relation ``i`` in name order is bit ``1 << i``;
+  both DP tables are keyed by int masks, so removing a relation or
+  splitting a subset is an XOR, not a frozenset build.
+* **One eligibility pass per expansion.**  An expansion asks the estimator
+  for the joined state (``join`` / ``join_states``) and reads the eligible
+  predicates off the returned :class:`~repro.core.estimator.StepEstimate`;
+  the estimator answers eligibility from its per-table predicate index.
+* **Tie-break.**  A subset keeps the candidate that is minimal under
+  ``(cost, leaf_order(plan))``, the first one on a full tie.  Leaf orders
+  are built only when two costs tie exactly (symmetric formulas such as
+  sort-merge do tie between mirror-image orders).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..core.estimator import EstimateState, JoinSizeEstimator
+from ..core.estimator import EstimateState, JoinSizeEstimator, PreparedJoinPredicate
 from ..errors import OptimizationError
 from ..sql.predicates import Op
 from .cost import CostModel
@@ -36,15 +50,32 @@ class _Candidate:
     cost: float
     state: EstimateState
 
-    @property
-    def sort_key(self):
-        """Deterministic comparison: cost first, then leaf order.
 
-        Symmetric cost formulas (e.g. sort-merge) can tie exactly between
-        mirror-image orders; the lexicographic leaf-order tie-break keeps
-        plan choice independent of hash-randomized set iteration.
-        """
-        return (self.cost, leaf_order(self.plan))
+def _cheapest(pool: Sequence[_Candidate]) -> _Candidate:
+    """The pool's minimum under ``(cost, leaf_order(plan))``, first on ties.
+
+    Symmetric cost formulas (e.g. sort-merge) can tie exactly between
+    mirror-image orders; the lexicographic leaf-order tie-break keeps plan
+    choice independent of hash-randomized set iteration.  Leaf orders are
+    built only on an exact cost tie, and the winner is the one
+    ``min(pool, key=lambda c: (c.cost, leaf_order(c.plan)))`` returns.
+    """
+    best = pool[0]
+    for candidate in pool[1:]:
+        if candidate.cost < best.cost or (
+            candidate.cost == best.cost
+            and leaf_order(candidate.plan) < leaf_order(best.plan)
+        ):
+            best = candidate
+    return best
+
+
+def _mask(members: Sequence[int]) -> int:
+    """The bitmask of a set of relation indices."""
+    mask = 0
+    for i in members:
+        mask |= 1 << i
+    return mask
 
 
 def _build_scans(
@@ -104,6 +135,54 @@ def _join_cost(
     return cost_model.hash_cost(outer_rows, outer_width, inner_rows, inner_width)
 
 
+def _cheapest_join(
+    outer: _Candidate,
+    inner: _Candidate,
+    new_state: EstimateState,
+    eligible: Sequence[PreparedJoinPredicate],
+    cost_model: CostModel,
+    methods: Sequence[JoinMethod],
+) -> Optional[_Candidate]:
+    """``outer`` joined with ``inner`` by the cheapest applicable method.
+
+    ``new_state`` and ``eligible`` come from the estimator step that joined
+    the two; ``None`` when no method applies.  The first method wins a tie.
+    """
+    applicable = _join_methods_for(eligible, methods)
+    if not applicable:
+        return None
+    outer_width = outer.plan.row_width
+    inner_width = inner.plan.row_width
+    result_width = outer_width + inner_width
+    inputs = outer.cost + inner.cost
+    output = cost_model.output_cost(new_state.rows, result_width)
+    best_method: Optional[JoinMethod] = None
+    best_total = 0.0
+    for method in applicable:
+        join_cost = _join_cost(
+            cost_model,
+            method,
+            outer.state.rows,
+            outer_width,
+            inner.state.rows,
+            inner_width,
+        )
+        total = inputs + join_cost + output
+        if best_method is None or total < best_total:
+            best_method, best_total = method, total
+    assert best_method is not None
+    plan = JoinPlan(
+        left=outer.plan,
+        right=inner.plan,
+        method=best_method,
+        predicates=tuple(p.predicate for p in eligible),
+        estimated_rows=new_state.rows,
+        estimated_cost=best_total,
+        row_width=result_width,
+    )
+    return _Candidate(plan, best_total, new_state)
+
+
 def _expand(
     candidate: _Candidate,
     relation: str,
@@ -113,44 +192,10 @@ def _expand(
     methods: Sequence[JoinMethod],
 ) -> Optional[_Candidate]:
     """The cheapest way to join ``relation`` into ``candidate``, if any."""
-    eligible = estimator.eligible(candidate.state.tables, relation)
-    applicable = _join_methods_for(eligible, methods)
-    if not applicable:
-        return None
     new_state, step = estimator.join(candidate.state, relation)
-    scan = scans[relation]
-    assert isinstance(scan.plan, ScanPlan)
-    outer_width = candidate.plan.row_width
-    inner_width = scan.plan.row_width
-    result_width = outer_width + inner_width
-    best: Optional[_Candidate] = None
-    for method in applicable:
-        join_cost = _join_cost(
-            cost_model,
-            method,
-            candidate.state.rows,
-            outer_width,
-            scan.state.rows,
-            inner_width,
-        )
-        total = (
-            candidate.cost
-            + scan.cost
-            + join_cost
-            + cost_model.output_cost(new_state.rows, result_width)
-        )
-        if best is None or total < best.cost:
-            plan = JoinPlan(
-                left=candidate.plan,
-                right=scan.plan,
-                method=method,
-                predicates=tuple(p.predicate for p in eligible),
-                estimated_rows=new_state.rows,
-                estimated_cost=total,
-                row_width=result_width,
-            )
-            best = _Candidate(plan, total, new_state)
-    return best
+    return _cheapest_join(
+        candidate, scans[relation], new_state, step.eligible, cost_model, methods
+    )
 
 
 def enumerate_dp(
@@ -184,19 +229,20 @@ def enumerate_dp(
     if len(relations) == 1:
         return scans[relations[0]].plan
 
-    best: Dict[FrozenSet[str], _Candidate] = {
-        frozenset((r,)): scans[r] for r in relations
-    }
-    for size in range(2, len(relations) + 1):
-        for subset in map(frozenset, itertools.combinations(relations, size)):
+    # Relation i (in name order) is bit ``1 << i`` of a subset's mask.
+    names = sorted(relations)
+    best: Dict[int, _Candidate] = {1 << i: scans[r] for i, r in enumerate(names)}
+    for size in range(2, len(names) + 1):
+        for members in itertools.combinations(range(len(names)), size):
+            subset = _mask(members)
             connected: List[_Candidate] = []
             cartesian: List[_Candidate] = []
-            for relation in sorted(subset):
-                source = best.get(subset - {relation})
+            for i in members:
+                source = best.get(subset ^ (1 << i))
                 if source is None:
                     continue
                 candidate = _expand(
-                    source, relation, scans, estimator, cost_model, methods
+                    source, names[i], scans, estimator, cost_model, methods
                 )
                 if candidate is None:
                     continue
@@ -207,9 +253,9 @@ def enumerate_dp(
             # subset cannot be formed through join predicates.
             pool = connected or cartesian
             if pool:
-                best[subset] = min(pool, key=lambda c: c.sort_key)
+                best[subset] = _cheapest(pool)
 
-    full = best.get(frozenset(relations))
+    full = best.get((1 << len(names)) - 1)
     if full is None:
         raise OptimizationError(
             "dynamic programming found no plan covering all relations"
@@ -248,8 +294,8 @@ def enumerate_greedy(
         remaining = [r for r in relations if r != start]
         failed = False
         while remaining:
-            connected: List[Tuple[_Candidate, str]] = []
-            cartesian: List[Tuple[_Candidate, str]] = []
+            connected: List[_Candidate] = []
+            cartesian: List[_Candidate] = []
             for relation in remaining:
                 expanded = _expand(
                     candidate, relation, scans, estimator, cost_model, methods
@@ -258,13 +304,15 @@ def enumerate_greedy(
                     continue
                 assert isinstance(expanded.plan, JoinPlan)
                 bucket = cartesian if expanded.plan.is_cartesian else connected
-                bucket.append((expanded, relation))
+                bucket.append(expanded)
             pool = connected or cartesian
             if not pool:
                 failed = True
                 break
-            candidate, chosen = min(pool, key=lambda pair: pair[0].sort_key)
-            remaining.remove(chosen)
+            candidate = _cheapest(pool)
+            assert isinstance(candidate.plan, JoinPlan)
+            assert isinstance(candidate.plan.right, ScanPlan)
+            remaining.remove(candidate.plan.right.relation)
         if failed:
             continue
         if best_overall is None or candidate.cost < best_overall.cost:
@@ -282,42 +330,8 @@ def _expand_pair(
     methods: Sequence[JoinMethod],
 ) -> Optional[_Candidate]:
     """The cheapest join of two disjoint sub-candidates (bushy step)."""
-    eligible = estimator.eligible_between(left.state.tables, right.state.tables)
-    applicable = _join_methods_for(eligible, methods)
-    if not applicable:
-        return None
-    new_state, _ = estimator.join_states(left.state, right.state)
-    outer_width = left.plan.row_width
-    inner_width = right.plan.row_width
-    result_width = outer_width + inner_width
-    best: Optional[_Candidate] = None
-    for method in applicable:
-        join_cost = _join_cost(
-            cost_model,
-            method,
-            left.state.rows,
-            outer_width,
-            right.state.rows,
-            inner_width,
-        )
-        total = (
-            left.cost
-            + right.cost
-            + join_cost
-            + cost_model.output_cost(new_state.rows, result_width)
-        )
-        if best is None or total < best.cost:
-            plan = JoinPlan(
-                left=left.plan,
-                right=right.plan,
-                method=method,
-                predicates=tuple(p.predicate for p in eligible),
-                estimated_rows=new_state.rows,
-                estimated_cost=total,
-                row_width=result_width,
-            )
-            best = _Candidate(plan, total, new_state)
-    return best
+    new_state, step = estimator.join_states(left.state, right.state)
+    return _cheapest_join(left, right, new_state, step.eligible, cost_model, methods)
 
 
 def enumerate_dp_bushy(
@@ -350,22 +364,21 @@ def enumerate_dp_bushy(
     if len(relations) == 1:
         return scans[relations[0]].plan
 
-    best: Dict[FrozenSet[str], _Candidate] = {
-        frozenset((r,)): scans[r] for r in relations
-    }
-    for size in range(2, len(relations) + 1):
-        for subset_tuple in itertools.combinations(sorted(relations), size):
-            subset = frozenset(subset_tuple)
+    # Relation i (in name order) is bit ``1 << i`` of a subset's mask.
+    names = sorted(relations)
+    best: Dict[int, _Candidate] = {1 << i: scans[r] for i, r in enumerate(names)}
+    for size in range(2, len(names) + 1):
+        for members in itertools.combinations(range(len(names)), size):
+            subset = _mask(members)
             connected: List[_Candidate] = []
             cartesian: List[_Candidate] = []
             # Every ordered split into two non-empty disjoint halves; the
             # ordering doubles as the outer/inner orientation choice.
             for left_size in range(1, size):
-                for left_tuple in itertools.combinations(subset_tuple, left_size):
-                    left_set = frozenset(left_tuple)
-                    right_set = subset - left_set
+                for left_members in itertools.combinations(members, left_size):
+                    left_set = _mask(left_members)
                     left_candidate = best.get(left_set)
-                    right_candidate = best.get(right_set)
+                    right_candidate = best.get(subset ^ left_set)
                     if left_candidate is None or right_candidate is None:
                         continue
                     candidate = _expand_pair(
@@ -378,9 +391,9 @@ def enumerate_dp_bushy(
                     bucket.append(candidate)
             pool = connected or cartesian
             if pool:
-                best[subset] = min(pool, key=lambda c: c.sort_key)
+                best[subset] = _cheapest(pool)
 
-    full = best.get(frozenset(relations))
+    full = best.get((1 << len(names)) - 1)
     if full is None:
         raise OptimizationError("bushy enumeration found no complete plan")
     return full.plan

@@ -24,6 +24,7 @@ transitive-closure machinery relies on this for duplicate elimination
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -175,9 +176,13 @@ class ComparisonPredicate:
     def is_equijoin(self) -> bool:
         return self.is_join and self.op is Op.EQ
 
-    @property
+    @functools.cached_property
     def tables(self) -> frozenset:
-        """The set of relation names this predicate touches (1 or 2)."""
+        """The set of relation names this predicate touches (1 or 2).
+
+        Computed on first access and kept in the instance ``__dict__``;
+        equality and hashing still use the three fields only.
+        """
         if isinstance(self.right, ColumnRef):
             return frozenset((self.left.table, self.right.table))
         return frozenset((self.left.table,))

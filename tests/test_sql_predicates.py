@@ -159,3 +159,22 @@ class TestConstructors:
     def test_literal_str(self):
         assert str(Literal(5)) == "5"
         assert str(Literal("a")) == "'a'"
+
+
+class TestTablesComputedOnce:
+    def test_same_object_on_every_access(self):
+        predicate = join_predicate("R", "x", "S", "y")
+        assert predicate.tables is predicate.tables
+        assert predicate.tables == frozenset({"R", "S"})
+
+    def test_local_predicate_tables(self):
+        assert local_predicate("R", "x", Op.LT, 5).tables == frozenset({"R"})
+
+    def test_equality_and_hash_ignore_the_cached_value(self):
+        accessed = join_predicate("R", "x", "S", "y")
+        _ = accessed.tables
+        fresh = join_predicate("R", "x", "S", "y")
+        assert accessed == fresh
+        assert hash(accessed) == hash(fresh)
+        assert fresh in {accessed}
+        assert repr(accessed) == repr(fresh)
