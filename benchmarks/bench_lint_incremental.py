@@ -1,6 +1,6 @@
 """Benchmark — the incremental lint cache: cold vs warm vs one-file edit.
 
-The full five-layer lint stack (rules + ELS3xx/4xx/5xx/6xx fixpoints)
+The full lint stack (rules + the ELS3xx-ELS7xx interprocedural passes)
 had become the slowest step in CI and pre-commit.  The content-addressed
 cache (:mod:`repro.lint.cache`) must make warm runs nearly free *without
 ever changing a verdict*.  This bench measures the three scenarios that
@@ -21,6 +21,7 @@ regenerate ``BENCH_lint.json`` at the repo root.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import platform
 import shutil
@@ -39,6 +40,7 @@ PASSES = {
     "effects": True,
     "concurrency": True,
     "perf": True,
+    "contracts": True,
 }
 
 #: The file whose edit the dirty scenario simulates (hot-path module).
@@ -134,6 +136,7 @@ def main() -> None:
             "passes": sorted(k for k, v in PASSES.items() if v),
             "dirty_file": DIRTY_FILE,
             "machine": {
+                "cpu_count": os.cpu_count(),
                 "platform": platform.platform(),
                 "python": platform.python_version(),
                 "implementation": platform.python_implementation(),

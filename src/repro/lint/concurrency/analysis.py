@@ -1,8 +1,8 @@
 """The ELS5xx concurrency-safety diagnostics.
 
-The driver (:func:`analyze_modules`) mirrors the ELS3xx/ELS4xx layers:
-parse directives, index every function with
-:func:`repro.lint.dataflow.summaries.collect_program`, scan each body
+The driver (:func:`analyze_program`) mirrors the ELS3xx/ELS4xx layers:
+over the shared index of
+:func:`repro.lint.dataflow.summaries.build_program`, scan each body
 once (:mod:`repro.lint.concurrency.summary`), iterate the blocking/lock
 summaries to a fixpoint, then run one reporting pass:
 
@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..diagnostics import Diagnostic, Severity
-from ..dataflow.annotations import parse_directives
-from ..dataflow.summaries import FunctionInfo, ModuleInfo, Program, collect_program
+from ..dataflow.summaries import FunctionInfo, ModuleInfo, Program, build_program
 from ..effects.summary import provably_mutable
 from .summary import (
     POOL_CONSTRUCTORS,
@@ -46,7 +45,12 @@ from .summary import (
     scan_function,
 )
 
-__all__ = ["CONCURRENCY_CODES", "analyze_modules", "analyze_source"]
+__all__ = [
+    "CONCURRENCY_CODES",
+    "analyze_modules",
+    "analyze_program",
+    "analyze_source",
+]
 
 #: Code -> (summary, severity) for every diagnostic this layer can emit.
 CONCURRENCY_CODES: Dict[str, Tuple[str, Severity]] = {
@@ -104,18 +108,18 @@ def analyze_modules(
     shape) — this is how the incremental lint cache persists per-module
     interprocedural summaries.
     """
+    return analyze_program(build_program(modules), max_passes, summary_sink)
+
+
+def analyze_program(
+    program: Program,
+    max_passes: int = 8,
+    summary_sink: Optional[Dict[str, Dict[str, Dict[str, object]]]] = None,
+) -> List[Diagnostic]:
+    """The ELS5xx pass over an already-built :func:`build_program` index."""
     findings: List[Diagnostic] = []
-    parsed = []
-    directive_index = {}
-    for module in modules:
-        if module.is_test_file or module.tree is None:
-            continue
-        directives, malformed = parse_directives(module.source)
-        directive_index[module.path] = (directives, malformed)
-        parsed.append((module.path, module.tree, directives))
-    if not parsed:
+    if not program.modules:
         return findings
-    program = collect_program(parsed)
     global_names: Dict[str, FrozenSet[str]] = {}
     mutable_globals: Dict[str, Set[str]] = {}
     for minfo in program.modules:
@@ -135,7 +139,7 @@ def analyze_modules(
                     function.qualname, {}
                 )["concurrency"] = summaries[id(function)].to_dict()
     inherited = collect_inherited_locks(program, scans, max_passes=max_passes)
-    guards = _collect_guards(program, directive_index, scans, findings)
+    guards = _collect_guards(program, scans, findings)
     for minfo in program.modules:
         for function in minfo.functions:
             scan = scans[id(function)]
@@ -223,14 +227,12 @@ def _statement_lines(node: ast.stmt) -> range:
 
 def _collect_guards(
     program: Program,
-    directive_index,
     scans: Dict[int, ConcurrencyScan],
     findings: List[Diagnostic],
 ) -> List[_Guard]:
     guards: List[_Guard] = []
     for minfo in program.modules:
-        directives, malformed = directive_index[minfo.path]
-        for bad in malformed:
+        for bad in minfo.malformed:
             if bad.family != "concurrency":
                 continue  # ELS300/ELS400 own the other families
             findings.append(
@@ -238,15 +240,9 @@ def _collect_guards(
                       f"malformed '# els:' directive: {bad.reason}")
             )
         assignment_targets = _assignment_targets_by_line(minfo)
-        def_lines = {
-            line
-            for node in ast.walk(minfo.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for line in (node.lineno,)
-        }
-        for directive in directives:
+        for directive in minfo.directives:
             if directive.kind == "blocking":
-                if directive.line not in def_lines:
+                if directive.line not in minfo.def_lines:
                     findings.append(
                         _line_diag(
                             minfo, directive.line, "ELS500",

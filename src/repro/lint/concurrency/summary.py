@@ -655,10 +655,8 @@ def scan_function(
 
 
 def _declared_blocking(function: FunctionInfo) -> Optional[bool]:
-    for directive in function.module.directives:
-        if directive.kind == "blocking" and directive.line == function.node.lineno:
-            return directive.blocking
-    return None
+    directive = function.module.directive_on_line(function.node.lineno, "blocking")
+    return None if directive is None else directive.blocking
 
 
 def collect_concurrency_summaries(

@@ -1,15 +1,15 @@
 """The ELS7xx contract-and-architecture diagnostics.
 
-The driver mirrors the ELS3xx–ELS6xx layers (parse directives, index
-functions with :func:`repro.lint.dataflow.summaries.collect_program`,
-iterate summaries to a fixpoint, walk bodies once) but splits into two
-halves so the incremental cache stays sound:
+The driver mirrors the ELS3xx–ELS6xx layers (over the shared index of
+:func:`repro.lint.dataflow.summaries.build_program`, iterate summaries
+to a fixpoint, walk bodies once) but splits into two halves so the
+incremental cache stays sound:
 
-* :func:`analyze_modules_local` — everything decidable from one
+* :func:`analyze_program_local` — everything decidable from one
   dependency component plus the committed data files: directive
   hygiene (ELS700), the exception-contract rules (ELS703–ELS705),
   per-file layering edges (ELS706), and per-module API drift (ELS707).
-* :func:`analyze_modules_global` — everything that must see the whole
+* :func:`analyze_program_global` — everything that must see the whole
   file set at once: protocol conformance (ELS701/ELS702, because the
   ``registers=`` directive is invisible to the component graph),
   import-cycle detection (ELS706), removed-module drift (ELS707), and
@@ -42,8 +42,7 @@ import re
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..dataflow.annotations import parse_directives
-from ..dataflow.summaries import ModuleInfo, Program, collect_program
+from ..dataflow.summaries import ModuleInfo, Program, build_program
 from ..diagnostics import Diagnostic, Severity
 from .architecture import (
     DEFAULT_MANIFEST_PATH,
@@ -79,6 +78,9 @@ __all__ = [
     "analyze_modules",
     "analyze_modules_global",
     "analyze_modules_local",
+    "analyze_program",
+    "analyze_program_global",
+    "analyze_program_local",
     "analyze_source",
 ]
 
@@ -122,20 +124,6 @@ CONTRACT_CODES: Dict[str, Tuple[str, Severity]] = {
 _CLI_STEMS = frozenset({"cli", "__main__"})
 
 
-def _eligible(modules: Sequence) -> List:
-    return [m for m in modules if not m.is_test_file and m.tree is not None]
-
-
-def _build_program(modules: Sequence) -> Tuple[Program, Dict[str, Tuple]]:
-    parsed = []
-    directive_index: Dict[str, Tuple] = {}
-    for module in modules:
-        directives, malformed = parse_directives(module.source)
-        directive_index[module.path] = (directives, malformed)
-        parsed.append((module.path, module.tree, directives))
-    return collect_program(parsed), directive_index
-
-
 # ---------------------------------------------------------------------------
 # The component-local half
 # ---------------------------------------------------------------------------
@@ -157,11 +145,26 @@ def analyze_modules_local(
     as ``sink[path][qualname]["raises"]`` so the incremental cache can
     persist them.
     """
+    return analyze_program_local(
+        build_program(modules),
+        max_passes=max_passes,
+        summary_sink=summary_sink,
+        manifest_path=manifest_path,
+        baseline_path=baseline_path,
+    )
+
+
+def analyze_program_local(
+    program: Program,
+    max_passes: int = 8,
+    summary_sink: Optional[Dict[str, Dict[str, Dict[str, object]]]] = None,
+    manifest_path: Optional[str] = None,
+    baseline_path: Optional[str] = None,
+) -> List[Diagnostic]:
+    """The component-local half over a :func:`build_program` index."""
     findings: List[Diagnostic] = []
-    eligible = _eligible(modules)
-    if not eligible:
+    if not program.modules:
         return findings
-    program, directive_index = _build_program(eligible)
     hierarchy = collect_hierarchy(program)
     summaries = compute_raise_summaries(program, hierarchy, max_passes)
     if summary_sink is not None:
@@ -181,8 +184,7 @@ def analyze_modules_local(
     except BaselineError:
         baseline = None  # the global half reports ELS700 once
     for minfo in program.modules:
-        directives, malformed = directive_index[minfo.path]
-        _report_directives(minfo, directives, malformed, findings)
+        _report_directives(minfo, findings)
         module_name = module_name_of(minfo.path)
         if module_name is None:
             continue
@@ -215,11 +217,9 @@ def analyze_modules_local(
     return findings
 
 
-def _report_directives(
-    minfo: ModuleInfo, directives, malformed, findings: List[Diagnostic]
-) -> None:
+def _report_directives(minfo: ModuleInfo, findings: List[Diagnostic]) -> None:
     """ELS700: malformed or misplaced ``registers=`` directives."""
-    for bad in malformed:
+    for bad in minfo.malformed:
         if bad.family != "contracts":
             continue  # the other layers own their families
         findings.append(
@@ -236,15 +236,10 @@ def _report_directives(
                 ),
             )
         )
-    def_lines = {
-        node.lineno
-        for node in ast.walk(minfo.tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    for directive in directives:
+    for directive in minfo.directives:
         if directive.kind != "registers":
             continue
-        if directive.line not in def_lines:
+        if directive.line not in minfo.def_lines:
             findings.append(
                 Diagnostic(
                     file=minfo.path,
@@ -503,12 +498,25 @@ def analyze_modules_global(
     baseline_path: Optional[str] = None,
 ) -> List[Diagnostic]:
     """Contract diagnostics that must see the whole file set at once."""
+    return analyze_program_global(
+        build_program(modules),
+        max_passes=max_passes,
+        manifest_path=manifest_path,
+        baseline_path=baseline_path,
+    )
+
+
+def analyze_program_global(
+    program: Program,
+    max_passes: int = 8,
+    manifest_path: Optional[str] = None,
+    baseline_path: Optional[str] = None,
+) -> List[Diagnostic]:
+    """The whole-set half over a :func:`build_program` index."""
     del max_passes  # conformance and cycles need no fixpoint
     findings: List[Diagnostic] = []
-    eligible = _eligible(modules)
-    if not eligible:
+    if not program.modules:
         return findings
-    program, _ = _build_program(eligible)
     manifest_file = (
         str(DEFAULT_MANIFEST_PATH) if manifest_path is None else manifest_path
     )
@@ -617,16 +625,33 @@ def analyze_modules(
     baseline_path: Optional[str] = None,
 ) -> List[Diagnostic]:
     """The full contract layer: the local and global halves combined."""
-    findings = analyze_modules_local(
-        modules,
+    return analyze_program(
+        build_program(modules),
+        max_passes=max_passes,
+        summary_sink=summary_sink,
+        manifest_path=manifest_path,
+        baseline_path=baseline_path,
+    )
+
+
+def analyze_program(
+    program: Program,
+    max_passes: int = 8,
+    summary_sink: Optional[Dict[str, Dict[str, Dict[str, object]]]] = None,
+    manifest_path: Optional[str] = None,
+    baseline_path: Optional[str] = None,
+) -> List[Diagnostic]:
+    """Both halves over one :func:`build_program` index."""
+    findings = analyze_program_local(
+        program,
         max_passes=max_passes,
         summary_sink=summary_sink,
         manifest_path=manifest_path,
         baseline_path=baseline_path,
     )
     findings.extend(
-        analyze_modules_global(
-            modules,
+        analyze_program_global(
+            program,
             max_passes=max_passes,
             manifest_path=manifest_path,
             baseline_path=baseline_path,

@@ -20,7 +20,18 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..dataflow.summaries import ModuleInfo, Program
 
@@ -171,13 +182,29 @@ _UNKNOWN_HANDLER = None
 
 @dataclass
 class _Context:
-    """Everything the walker needs; ``summaries=None`` ignores calls."""
+    """Everything the walker needs; ``program=None`` ignores calls."""
 
-    program: Program
+    program: Optional[Program]
     module: ModuleInfo
     enclosing_class: Optional[str]
-    summaries: Optional[Summaries]
     hierarchy: ExceptionHierarchy
+
+
+class _CallSite(NamedTuple):
+    """A resolved call: its callee's summary escapes unless caught.
+
+    ``guards`` are the enclosing ``try`` statements whose *body* holds
+    the call (innermost first); a name escapes only when no handler of
+    any of them catches it.
+    """
+
+    key: SummaryKey
+    guards: Tuple[ast.Try, ...] = ()
+
+
+#: What the walker yields: a literal exception name, or a call site
+#: whose names are read from the summary table when it is evaluated.
+_Raised = Union[str, _CallSite]
 
 
 def _exception_terminal(node: ast.expr, module: ModuleInfo) -> Optional[str]:
@@ -270,38 +297,45 @@ def _calls_in_expression(node: ast.AST) -> Iterator[ast.Call]:
             yield child
 
 
-def _raised_by_calls(node: ast.AST, ctx: _Context) -> Set[str]:
-    if ctx.summaries is None:
+def _raised_by_calls(node: ast.AST, ctx: _Context) -> Set[_Raised]:
+    if ctx.program is None:
         return set()
-    raised: Set[str] = set()
+    raised: Set[_Raised] = set()
     for call in _calls_in_expression(node):
         callee = ctx.program.resolve_call(call, ctx.module, ctx.enclosing_class)
         if callee is not None:
-            key = summary_key(callee.module.path, callee.qualname)
-            raised |= ctx.summaries.get(key, frozenset())
+            raised.add(_CallSite(summary_key(callee.module.path, callee.qualname)))
     return raised
 
 
-def _handler_catches(
-    handler: ast.ExceptHandler, name: str, ctx: _Context
+def _try_catches(
+    node: ast.Try,
+    name: str,
+    module: ModuleInfo,
+    hierarchy: ExceptionHierarchy,
 ) -> bool:
-    declared = _handler_type_names(handler, ctx.module)
-    if declared is _UNKNOWN_HANDLER:
-        return True
-    return any(ctx.hierarchy.is_subclass(name, caught) for caught in declared)
+    """Whether some handler of ``node`` catches ``name``."""
+    for handler in node.handlers:
+        declared = _handler_type_names(handler, module)
+        if declared is _UNKNOWN_HANDLER:
+            return True
+        if any(hierarchy.is_subclass(name, caught) for caught in declared):
+            return True
+    return False
 
 
 def _raised_in_try(
     node: ast.Try,
     ctx: _Context,
     handler_types: Optional[Tuple[str, ...]],
-) -> Set[str]:
+) -> Set[_Raised]:
     body_raised = _raised_in_statements(node.body, ctx, handler_types)
-    escaping = {
-        name
-        for name in body_raised
-        if not any(_handler_catches(handler, name, ctx) for handler in node.handlers)
-    }
+    escaping: Set[_Raised] = set()
+    for item in body_raised:
+        if isinstance(item, _CallSite):
+            escaping.add(item._replace(guards=item.guards + (node,)))
+        elif not _try_catches(node, item, ctx.module, ctx.hierarchy):
+            escaping.add(item)
     for handler in node.handlers:
         declared = _handler_type_names(handler, ctx.module)
         escaping |= _raised_in_statements(handler.body, ctx, declared)
@@ -315,14 +349,14 @@ def _raised_in_statements(
     stmts: Sequence[ast.stmt],
     ctx: _Context,
     handler_types: Optional[Tuple[str, ...]],
-) -> Set[str]:
-    """Escaping raise-set of a statement block.
+) -> Set[_Raised]:
+    """Escaping raise-set of a statement block, calls left symbolic.
 
     ``handler_types`` is the declared type tuple of the innermost
     enclosing ``except`` clause (for resolving bare ``raise``), or
     ``None`` outside handlers and under broad ones.
     """
-    raised: Set[str] = set()
+    raised: Set[_Raised] = set()
     for stmt in stmts:
         if isinstance(stmt, _DEF_NODES):
             continue
@@ -358,6 +392,31 @@ def _raised_in_statements(
 # ---------------------------------------------------------------------------
 
 
+def _evaluate(
+    raised: Set[_Raised],
+    summaries: Summaries,
+    module: ModuleInfo,
+    hierarchy: ExceptionHierarchy,
+) -> Set[str]:
+    """The names a symbolic raise-set stands for under ``summaries``."""
+    names: Set[str] = set()
+    for item in raised:
+        if not isinstance(item, _CallSite):
+            names.add(item)
+        elif not item.guards:
+            names |= summaries.get(item.key, frozenset())
+        else:
+            names.update(
+                name
+                for name in summaries.get(item.key, frozenset())
+                if not any(
+                    _try_catches(guard, name, module, hierarchy)
+                    for guard in item.guards
+                )
+            )
+    return names
+
+
 def compute_raise_summaries(
     program: Program,
     hierarchy: ExceptionHierarchy,
@@ -365,31 +424,35 @@ def compute_raise_summaries(
 ) -> Summaries:
     """Iterate per-function raise-sets to a fixpoint.
 
+    Each body is walked once, up front: literal raises are filtered
+    through their enclosing handlers right away, and call sites are
+    resolved to summary keys under their ``try`` guards.  An iteration
+    then only reads callee summaries back through those guards.
     Summaries only grow, so convergence is guaranteed; ``max_passes``
     merely bounds pathological call-chain depth the same way the
     quantity fixpoint does.
     """
     summaries: Summaries = {}
+    plans = []
     for module in program.modules:
         for function in module.functions:
-            summaries[summary_key(module.path, function.qualname)] = frozenset()
+            key = summary_key(module.path, function.qualname)
+            summaries[key] = frozenset()
+            enclosing = (
+                function.qualname.rsplit(".", 1)[0]
+                if "." in function.qualname
+                else None
+            )
+            ctx = _Context(program, module, enclosing, hierarchy)
+            raised = _raised_in_statements(function.node.body, ctx, _UNKNOWN_HANDLER)
+            plans.append((key, module, raised))
     for _ in range(max_passes):
         changed = False
-        for module in program.modules:
-            for function in module.functions:
-                enclosing = (
-                    function.qualname.rsplit(".", 1)[0]
-                    if "." in function.qualname
-                    else None
-                )
-                ctx = _Context(program, module, enclosing, summaries, hierarchy)
-                raised = frozenset(
-                    _raised_in_statements(function.node.body, ctx, _UNKNOWN_HANDLER)
-                )
-                key = summary_key(module.path, function.qualname)
-                if raised != summaries[key]:
-                    summaries[key] = raised
-                    changed = True
+        for key, module, raised in plans:
+            names = frozenset(_evaluate(raised, summaries, module, hierarchy))
+            if names != summaries[key]:
+                summaries[key] = names
+                changed = True
         if not changed:
             break
     return summaries
@@ -407,13 +470,13 @@ def direct_raises(
     documenting.
     """
     ctx = _Context(
-        program=Program(modules=[]),
+        program=None,
         module=module,
         enclosing_class=None,
-        summaries=None,
         hierarchy=hierarchy,
     )
-    return _raised_in_statements(function_node.body, ctx, _UNKNOWN_HANDLER)
+    raised = _raised_in_statements(function_node.body, ctx, _UNKNOWN_HANDLER)
+    return {item for item in raised if isinstance(item, str)}
 
 
 def try_body_raises(
@@ -425,5 +488,6 @@ def try_body_raises(
     hierarchy: ExceptionHierarchy,
 ) -> Set[str]:
     """The computed raise-set of one ``try`` body (for ELS704)."""
-    ctx = _Context(program, module, enclosing_class, summaries, hierarchy)
-    return _raised_in_statements(node.body, ctx, _UNKNOWN_HANDLER)
+    ctx = _Context(program, module, enclosing_class, hierarchy)
+    raised = _raised_in_statements(node.body, ctx, _UNKNOWN_HANDLER)
+    return _evaluate(raised, summaries, module, hierarchy)

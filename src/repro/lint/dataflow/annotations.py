@@ -94,6 +94,8 @@ EFFECT_ALIASES: Dict[str, str] = {
 #: Anchored at the start of the comment so prose that merely *mentions*
 #: the marker (docs, examples) is never parsed as a directive.
 _DIRECTIVE_RE = re.compile(r"^#\s*els:\s*(?P<body>.*)$")
+#: Every directive comment contains this text.
+_MARKER = "els:"
 _NOQA_RE = re.compile(r"^noqa(?:\[(?P<codes>[^\]]*)\])?$")
 _QUANTITY_RE = re.compile(r"^quantity\s*=\s*(?P<name>[A-Za-z_]+)$")
 _EFFECT_RE = re.compile(r"^effect\s*=\s*(?P<name>[A-Za-z_]+)$")
@@ -173,10 +175,13 @@ def parse_directives(
 
     Only genuine comment tokens are considered; the marker inside string
     literals is ignored.  A file that fails to tokenize (already reported
-    as ELS100 by the engine) yields no directives.
+    as ELS100 by the engine) yields no directives, and so does a file
+    that never spells the marker (it is not tokenized at all).
     """
     directives: List[Directive] = []
     malformed: List[MalformedDirective] = []
+    if _MARKER not in source:
+        return directives, malformed
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):

@@ -1,8 +1,8 @@
 """The ELS4xx effect-and-determinism diagnostics.
 
-The driver (:func:`analyze_modules`) mirrors the ELS3xx quantity layer:
-parse directives, index every function with
-:func:`repro.lint.dataflow.summaries.collect_program`, scan each body
+The driver (:func:`analyze_program`) mirrors the ELS3xx quantity layer:
+over the shared index of
+:func:`repro.lint.dataflow.summaries.build_program`, scan each body
 once (:mod:`repro.lint.effects.summary`), iterate effect summaries
 bottom-up to a fixpoint, then run one reporting pass:
 
@@ -28,8 +28,7 @@ import ast
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..diagnostics import Diagnostic, Severity
-from ..dataflow.annotations import parse_directives
-from ..dataflow.summaries import FunctionInfo, ModuleInfo, Program, collect_program
+from ..dataflow.summaries import FunctionInfo, ModuleInfo, Program, build_program
 from .summary import (
     EffectSummary,
     FunctionScan,
@@ -40,7 +39,7 @@ from .summary import (
     scan_function,
 )
 
-__all__ = ["EFFECT_CODES", "analyze_modules", "analyze_source"]
+__all__ = ["EFFECT_CODES", "analyze_modules", "analyze_program", "analyze_source"]
 
 #: Code -> (summary, severity) for every diagnostic this layer can emit.
 EFFECT_CODES: Dict[str, Tuple[str, Severity]] = {
@@ -103,18 +102,18 @@ def analyze_modules(
     this is how the incremental lint cache persists per-module
     interprocedural summaries.
     """
+    return analyze_program(build_program(modules), max_passes, summary_sink)
+
+
+def analyze_program(
+    program: Program,
+    max_passes: int = 8,
+    summary_sink: Optional[Dict[str, Dict[str, Dict[str, object]]]] = None,
+) -> List[Diagnostic]:
+    """The ELS4xx pass over an already-built :func:`build_program` index."""
     findings: List[Diagnostic] = []
-    parsed = []
-    directive_index = {}
-    for module in modules:
-        if module.is_test_file or module.tree is None:
-            continue
-        directives, malformed = parse_directives(module.source)
-        directive_index[module.path] = (directives, malformed)
-        parsed.append((module.path, module.tree, directives))
-    if not parsed:
+    if not program.modules:
         return findings
-    program = collect_program(parsed)
     scans: Dict[int, FunctionScan] = {}
     for minfo in program.modules:
         for function in minfo.functions:
@@ -127,8 +126,7 @@ def analyze_modules(
                     function.qualname, {}
                 )["effect"] = summaries[id(function)].to_dict()
     for minfo in program.modules:
-        directives, malformed = directive_index[minfo.path]
-        _report_directives(minfo, directives, malformed, findings)
+        _report_directives(minfo, findings)
         module_globals = _module_mutable_globals(minfo.tree)
         for function in minfo.functions:
             scan = scans[id(function)]
@@ -161,13 +159,8 @@ def analyze_source(source: str, path: str = "<memory>") -> List[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-def _report_directives(
-    minfo: ModuleInfo,
-    directives,
-    malformed,
-    findings: List[Diagnostic],
-) -> None:
-    for bad in malformed:
+def _report_directives(minfo: ModuleInfo, findings: List[Diagnostic]) -> None:
+    for bad in minfo.malformed:
         if bad.family != "effect":
             continue  # ELS300 (dataflow layer) owns the other families
         findings.append(
@@ -180,15 +173,10 @@ def _report_directives(
                 message=f"malformed '# els:' directive: {bad.reason}",
             )
         )
-    def_lines = {
-        node.lineno
-        for node in ast.walk(minfo.tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    for directive in directives:
+    for directive in minfo.directives:
         if directive.kind != "effect":
             continue
-        if directive.line not in def_lines:
+        if directive.line not in minfo.def_lines:
             findings.append(
                 Diagnostic(
                     file=minfo.path,

@@ -638,10 +638,8 @@ def _element_mutable(node: ast.expr, env: Dict[str, ast.expr], depth: int) -> bo
 
 
 def _declared_effect(function: FunctionInfo) -> Optional[str]:
-    for directive in function.module.directives:
-        if directive.kind == "effect" and directive.line == function.node.lineno:
-            return directive.effect
-    return None
+    directive = function.module.directive_on_line(function.node.lineno, "effect")
+    return None if directive is None else directive.effect
 
 
 def _map_arguments(

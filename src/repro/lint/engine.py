@@ -19,6 +19,7 @@ Two file-level policies the rules share:
 from __future__ import annotations
 
 import ast
+import importlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
@@ -201,7 +202,11 @@ def extract_noqa(source: str) -> List[Tuple[int, Optional[Tuple[str, ...]]]]:
     """
     from .dataflow.annotations import parse_directives
 
-    directives, _ = parse_directives(source)
+    return _noqa_rows(parse_directives(source)[0])
+
+
+def _noqa_rows(directives) -> List[Tuple[int, Optional[Tuple[str, ...]]]]:
+    """:func:`extract_noqa` over already-parsed directives."""
     return [
         (d.line, None if d.codes is None else tuple(sorted(d.codes)))
         for d in directives
@@ -286,71 +291,48 @@ def lint_source(
     with ``contracts=True`` the ELS7xx contract-and-architecture pass
     runs (function summaries stay within this one module).
     """
+    from .dataflow.annotations import parse_directives
+    from .dataflow.summaries import build_program
+
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return filter_diagnostics([_parse_failure(path, exc)], select, ignore)
     module = ModuleUnderLint(path=path, source=source, tree=tree)
+    directives = parse_directives(source)
     findings = _rule_findings(module)
-    for enabled, passname in (
-        (dataflow, "dataflow"),
-        (effects, "effects"),
-        (concurrency, "concurrency"),
-        (perf, "perf"),
-        (contracts, "contracts"),
-    ):
-        if enabled:
-            findings.extend(_ANALYSIS_PASSES[passname]()([module]))
+    passes = _enabled_passes(dataflow, effects, concurrency, perf, contracts)
+    if passes:
+        program = build_program([module], {path: directives})
+        findings.extend(_run_passes(passes, program))
     findings = _apply_suppressions(
-        _dedupe(findings), {path: extract_noqa(source)}
+        _dedupe(findings), {path: _noqa_rows(directives[0])}
     )
     return filter_diagnostics(findings, select, ignore)
 
 
-def _dataflow_pass():
-    from .dataflow import analyze_modules
-
-    return analyze_modules
-
-
-def _effects_pass():
-    from .effects import analyze_modules
-
-    return analyze_modules
-
-
-def _concurrency_pass():
-    from .concurrency import analyze_modules
-
-    return analyze_modules
-
-
-def _perf_pass():
-    from .perf import analyze_modules
-
-    return analyze_modules
-
-
-def _contracts_pass():
-    from .contracts import analyze_modules
-
-    return analyze_modules
-
-
-#: Pass name -> lazy importer of the layer's ``analyze_modules`` driver.
-#: Names double as the cache's pass-key components, so their spelling is
-#: part of the cache contract.
-_ANALYSIS_PASSES = {
-    "dataflow": _dataflow_pass,
-    "effects": _effects_pass,
-    "concurrency": _concurrency_pass,
-    "perf": _perf_pass,
-    "contracts": _contracts_pass,
+#: Pass name -> (module, pass body) of each layer's ``analyze_program``,
+#: imported lazily.  ``contracts.local`` is the contracts layer's
+#: component-sound half and ``contracts.global`` its whole-set half (see
+#: :func:`_cached_analysis`).  Pass names double as the cache's pass-key
+#: components, so their spelling is part of the cache contract.
+_PASS_BODIES = {
+    "dataflow": ("dataflow.analysis", "analyze_program"),
+    "effects": ("effects.analysis", "analyze_program"),
+    "concurrency": ("concurrency.analysis", "analyze_program"),
+    "perf": ("perf.analysis", "analyze_program"),
+    "contracts": ("contracts.analysis", "analyze_program"),
+    "contracts.local": ("contracts.analysis", "analyze_program_local"),
+    "contracts.global": ("contracts.analysis", "analyze_program_global"),
 }
 
-#: Cache pass tag of the contracts layer's whole-set half (see
-#: :func:`_cached_analysis`) — spelled here because it is part of the
-#: cache contract just like the pass names above.
+
+def _pass_driver(passname: str):
+    module, body = _PASS_BODIES[passname]
+    return getattr(importlib.import_module(f".{module}", __package__), body)
+
+
+#: Cache pass tag of the contracts layer's whole-set half.
 _CONTRACTS_GLOBAL_TAG = "contracts.global"
 
 
@@ -380,6 +362,9 @@ class _FileRecord:
     ``tree`` is kept only on the serial fresh-parse path — the whole
     point of the record is that warm cache hits carry everything the
     engine needs *without* a tree, and later stages parse lazily.
+    ``directives`` (the full ``(directives, malformed)`` lists) is set by
+    stage 1 and, for cache hits, on first use: each file is tokenized at
+    most once per run.
     """
 
     path: str
@@ -392,6 +377,7 @@ class _FileRecord:
     referenced: Tuple[str, ...]
     tree: Optional[ast.Module] = None
     from_cache: bool = False
+    directives: Optional[Tuple[List, List]] = None
 
     def analysis_module(self) -> ModuleUnderLint:
         """A :class:`ModuleUnderLint`, parsing now if stage 1 did not."""
@@ -400,6 +386,14 @@ class _FileRecord:
         return ModuleUnderLint(
             path=self.path, source=self.source, tree=self.tree
         )
+
+    def directive_lists(self) -> Tuple[List, List]:
+        """The file's ``(directives, malformed)``, tokenizing on first use."""
+        if self.directives is None:
+            from .dataflow.annotations import parse_directives
+
+            self.directives = parse_directives(self.source)
+        return self.directives
 
 
 def _read_file(path_str: str) -> Tuple[str, str]:
@@ -418,9 +412,12 @@ def _read_file(path_str: str) -> Tuple[str, str]:
 
 
 def _examine_file(path_str: str, source: str, digest: str) -> _FileRecord:
-    """Parse, rule-check, and interface-index one file (stage 1 miss)."""
+    """Parse, rule-check, tokenize, and interface-index one file (stage 1
+    miss)."""
     from .cache import module_interface
+    from .dataflow.annotations import parse_directives
 
+    directives = parse_directives(source)
     try:
         tree = ast.parse(source, filename=path_str)
     except SyntaxError as exc:
@@ -430,9 +427,10 @@ def _examine_file(path_str: str, source: str, digest: str) -> _FileRecord:
             digest=digest,
             parsed_ok=False,
             findings=[_parse_failure(path_str, exc)],
-            noqa=extract_noqa(source),
+            noqa=_noqa_rows(directives[0]),
             defined=(),
             referenced=(),
+            directives=directives,
         )
     module = ModuleUnderLint(path=path_str, source=source, tree=tree)
     defined, referenced = module_interface(tree)
@@ -442,28 +440,23 @@ def _examine_file(path_str: str, source: str, digest: str) -> _FileRecord:
         digest=digest,
         parsed_ok=True,
         findings=_rule_findings(module),
-        noqa=extract_noqa(source),
+        noqa=_noqa_rows(directives[0]),
         defined=tuple(defined),
         referenced=tuple(referenced),
         tree=tree,
+        directives=directives,
     )
 
 
-def _file_worker(
-    item: Tuple[str, str, str]
-) -> Tuple[str, bool, List[Diagnostic], List, Tuple[str, ...], Tuple[str, ...]]:
-    """Pool wrapper around :func:`_examine_file` (tree dropped: ASTs are
-    large to pickle; dirty-component analysis re-parses on demand)."""
+def _file_worker(item: Tuple[str, str, str]) -> _FileRecord:
+    """Pool wrapper around :func:`_examine_file` (tree and source dropped:
+    ASTs are large to pickle, the parent holds the source, and
+    dirty-component analysis re-parses on demand)."""
     path_str, source, digest = item
     record = _examine_file(path_str, source, digest)
-    return (
-        record.path,
-        record.parsed_ok,
-        record.findings,
-        record.noqa,
-        record.defined,
-        record.referenced,
-    )
+    record.tree = None
+    record.source = ""
+    return record
 
 
 def _pool_context():
@@ -510,15 +503,25 @@ def _enabled_passes(
 
 
 def _run_passes(
-    passes: Sequence[str],
-    modules: Sequence[ModuleUnderLint],
-    summary_sink=None,
+    passes: Sequence[str], program, summary_sink=None
 ) -> List[Diagnostic]:
+    """Every enabled pass body over one shared program index."""
     findings: List[Diagnostic] = []
     for passname in passes:
-        driver = _ANALYSIS_PASSES[passname]()
-        findings.extend(driver(modules, summary_sink=summary_sink))
+        driver = _pass_driver(passname)
+        findings.extend(driver(program, summary_sink=summary_sink))
     return findings
+
+
+def _program_of(records: Sequence[_FileRecord]):
+    """The shared front end (:func:`~repro.lint.dataflow.summaries.
+    build_program`) over parsed records, reusing their directives."""
+    from .dataflow.summaries import build_program
+
+    return build_program(
+        [record.analysis_module() for record in records],
+        {record.path: record.directive_lists() for record in records},
+    )
 
 
 def lint_paths(
@@ -577,22 +580,12 @@ def lint_paths(
         else:
             pending.append((path_str, source, digest))
     if jobs > 1 and len(pending) > 1:
-        by_path = {p: (s, d) for p, s, d in pending}
         context = _pool_context()
         with context.Pool(processes=min(jobs, len(pending))) as pool:
-            for path_str, parsed_ok, file_findings, noqa, defined, referenced \
-                    in pool.map(_file_worker, pending):
-                source, digest = by_path[path_str]
-                records[path_str] = _FileRecord(
-                    path=path_str,
-                    source=source,
-                    digest=digest,
-                    parsed_ok=parsed_ok,
-                    findings=file_findings,
-                    noqa=noqa,
-                    defined=defined,
-                    referenced=referenced,
-                )
+            examined = pool.map(_file_worker, pending)
+        for (path_str, source, _), record in zip(pending, examined):
+            record.source = source
+            records[path_str] = record
     else:
         for path_str, source, digest in pending:
             records[path_str] = _examine_file(path_str, source, digest)
@@ -622,12 +615,12 @@ def lint_paths(
                 _cached_analysis(cache, passes, file_paths, records)
             )
         else:
-            analysis_modules = [
-                records[path_str].analysis_module()
+            program = _program_of([
+                records[path_str]
                 for path_str in file_paths
                 if records[path_str].parsed_ok
-            ]
-            findings.extend(_run_passes(passes, analysis_modules))
+            ])
+            findings.extend(_run_passes(passes, program))
     noqa_by_file = {
         path_str: records[path_str].noqa for path_str in file_paths
     }
@@ -654,7 +647,9 @@ def _cached_analysis(
     cycles, removed-module drift) are invisible to the component
     interface, so only its *local* half runs per component; the global
     half runs once over every eligible file, cached under its own
-    pseudo-component entry keyed by the full member list.
+    pseudo-component entry keyed by the full member list.  When one
+    component holds every eligible file, the global half reuses that
+    component's program index.
     """
     from .cache import dependency_components
 
@@ -667,6 +662,12 @@ def _cached_analysis(
         path_str: (records[path_str].defined, records[path_str].referenced)
         for path_str in eligible
     }
+    # Component-sound pass list: the contracts pass contributes only its
+    # local half per component.
+    component_passes = [
+        "contracts.local" if name == "contracts" else name for name in passes
+    ]
+    whole_set_program = None
     findings: List[Diagnostic] = []
     for component in dependency_components(interfaces):
         members = [(p, records[p].digest) for p in component]
@@ -674,43 +675,29 @@ def _cached_analysis(
         if cached is not None:
             findings.extend(cached)
             continue
-        modules = [records[p].analysis_module() for p in component]
+        program = _program_of([records[p] for p in component])
         sink: Dict[str, Dict[str, Dict[str, object]]] = {}
-        component_findings = _run_component_passes(
-            passes, modules, summary_sink=sink
+        component_findings = _run_passes(
+            component_passes, program, summary_sink=sink
         )
         cache.store_component(members, passes, component_findings, sink)
         findings.extend(component_findings)
+        if component == eligible:
+            whole_set_program = program
+        del program  # only the whole-set index outlives its component
     if "contracts" in passes and eligible:
         all_members = [(p, records[p].digest) for p in eligible]
         cached = cache.load_component(all_members, [_CONTRACTS_GLOBAL_TAG])
         if cached is not None:
             findings.extend(cached)
         else:
-            from .contracts import analyze_modules_global
-
-            modules = [records[p].analysis_module() for p in eligible]
-            global_findings = analyze_modules_global(modules)
+            if whole_set_program is None:
+                whole_set_program = _program_of([records[p] for p in eligible])
+            global_findings = _pass_driver(_CONTRACTS_GLOBAL_TAG)(
+                whole_set_program
+            )
             cache.store_component(
                 all_members, [_CONTRACTS_GLOBAL_TAG], global_findings, {}
             )
             findings.extend(global_findings)
-    return findings
-
-
-def _run_component_passes(
-    passes: Sequence[str],
-    modules: Sequence[ModuleUnderLint],
-    summary_sink=None,
-) -> List[Diagnostic]:
-    """Like :func:`_run_passes`, but component-sound: the contracts pass
-    contributes only its local half here (the global half is handled by
-    :func:`_cached_analysis` once per file set)."""
-    findings: List[Diagnostic] = []
-    for passname in passes:
-        if passname == "contracts":
-            from .contracts import analyze_modules_local as driver
-        else:
-            driver = _ANALYSIS_PASSES[passname]()
-        findings.extend(driver(modules, summary_sink=summary_sink))
     return findings

@@ -1,8 +1,8 @@
 """The ELS6xx performance-hazard diagnostics.
 
-The driver (:func:`analyze_modules`) mirrors the ELS3xx–ELS5xx layers:
-parse directives, index every function with
-:func:`repro.lint.dataflow.summaries.collect_program`, run the hotness
+The driver (:func:`analyze_program`) mirrors the ELS3xx–ELS5xx layers:
+over the shared index of
+:func:`repro.lint.dataflow.summaries.build_program`, run the hotness
 fixpoint (:mod:`repro.lint.perf.hotness`), then walk each **hot**
 function body once:
 
@@ -33,12 +33,11 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..dataflow.annotations import parse_directives
-from ..dataflow.summaries import FunctionInfo, ModuleInfo, collect_program
+from ..dataflow.summaries import FunctionInfo, ModuleInfo, Program, build_program
 from ..diagnostics import Diagnostic, Severity
 from .hotness import HotIndex, compute_hotness, heuristic_root_reason, hot_pin
 
-__all__ = ["PERF_CODES", "analyze_modules", "analyze_source"]
+__all__ = ["PERF_CODES", "analyze_modules", "analyze_program", "analyze_source"]
 
 #: Code -> (summary, severity) for every diagnostic this layer can emit.
 PERF_CODES: Dict[str, Tuple[str, Severity]] = {
@@ -108,19 +107,19 @@ def analyze_modules(
     "origin": qualname-or-None}``) — this is how the incremental lint
     cache persists per-module interprocedural summaries.
     """
+    return analyze_program(build_program(modules), max_passes, summary_sink)
+
+
+def analyze_program(
+    program: Program,
+    max_passes: int = 8,
+    summary_sink: Optional[Dict[str, Dict[str, Dict[str, object]]]] = None,
+) -> List[Diagnostic]:
+    """The ELS6xx pass over an already-built :func:`build_program` index."""
     del max_passes  # two-valued lattice: the worklist always converges
     findings: List[Diagnostic] = []
-    parsed = []
-    directive_index = {}
-    for module in modules:
-        if module.is_test_file or module.tree is None:
-            continue
-        directives, malformed = parse_directives(module.source)
-        directive_index[module.path] = (directives, malformed)
-        parsed.append((module.path, module.tree, directives))
-    if not parsed:
+    if not program.modules:
         return findings
-    program = collect_program(parsed)
     index = compute_hotness(program)
     if summary_sink is not None:
         for minfo in program.modules:
@@ -132,8 +131,7 @@ def analyze_modules(
                     "origin": index.origin(function),
                 }
     for minfo in program.modules:
-        directives, malformed = directive_index[minfo.path]
-        _report_directives(minfo, directives, malformed, findings)
+        _report_directives(minfo, findings)
         _report_pins(minfo, index, findings)
         for function in minfo.functions:
             if not index.is_hot(function):
@@ -169,10 +167,8 @@ def analyze_source(source: str, path: str = "<memory>") -> List[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-def _report_directives(
-    minfo: ModuleInfo, directives, malformed, findings: List[Diagnostic]
-) -> None:
-    for bad in malformed:
+def _report_directives(minfo: ModuleInfo, findings: List[Diagnostic]) -> None:
+    for bad in minfo.malformed:
         if bad.family != "perf":
             continue  # ELS300/ELS400/ELS500 own the other families
         findings.append(
@@ -186,15 +182,10 @@ def _report_directives(
                 hint="use '# els: hot=yes' or '# els: hot=no' on a def line",
             )
         )
-    def_lines = {
-        node.lineno
-        for node in ast.walk(minfo.tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    for directive in directives:
+    for directive in minfo.directives:
         if directive.kind != "hot":
             continue
-        if directive.line not in def_lines:
+        if directive.line not in minfo.def_lines:
             findings.append(
                 Diagnostic(
                     file=minfo.path,

@@ -61,10 +61,8 @@ _EXECUTION_TOKEN = "/execution/"
 
 def hot_pin(function: FunctionInfo) -> Optional[bool]:
     """The ``# els: hot=`` pin on the function's ``def`` line, if any."""
-    for directive in function.module.directives:
-        if directive.kind == "hot" and directive.line == function.node.lineno:
-            return directive.hot
-    return None
+    directive = function.module.directive_on_line(function.node.lineno, "hot")
+    return None if directive is None else directive.hot
 
 
 def heuristic_root_reason(function: FunctionInfo) -> Optional[str]:

@@ -6,15 +6,27 @@ component grouping, the rule-set fingerprint, file/component entry
 round-trips, corruption-as-cold-miss, and the engine-level invariants:
 warm output byte-identical to cold over every tree, one-file edits
 invalidating only that file, rule-set changes invalidating everything,
-and one parse per file per cold run.
+and one parse per file per cold run.  The shared front end is pinned
+too: one tokenize per file and one program index per analysed module
+set, cold and after an edit, and every pass entry point skipping an
+unparsed module.
 """
 
 import ast
 import json
 import textwrap
+import tokenize
 
 import pytest
 
+from repro.lint import (
+    ModuleUnderLint,
+    analyze_concurrency_modules,
+    analyze_contract_modules,
+    analyze_effect_modules,
+    analyze_modules,
+    analyze_perf_modules,
+)
 from repro.lint import cache as cache_module
 from repro.lint.cache import (
     FileEntry,
@@ -24,6 +36,7 @@ from repro.lint.cache import (
     module_interface,
     ruleset_fingerprint,
 )
+from repro.lint.dataflow import summaries as summaries_module
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.engine import lint_paths
 
@@ -383,6 +396,120 @@ class TestEngineIntegration:
         }
         assert len(per_file) == 2
         assert all(count == 1 for count in per_file.values()), per_file
+
+
+def _count_tokenizes(monkeypatch):
+    """Source text -> number of times it went through the tokenizer."""
+    real_generate = tokenize.generate_tokens
+    counts = {}
+
+    def counting_generate(readline, *args, **kwargs):
+        source = readline.__self__.getvalue()
+        counts[source] = counts.get(source, 0) + 1
+        return real_generate(readline, *args, **kwargs)
+
+    monkeypatch.setattr(tokenize, "generate_tokens", counting_generate)
+    return counts
+
+
+def _count_program_indexes(monkeypatch):
+    """Every program index built, as its list of module paths."""
+    built = []
+
+    class CountingProgram(summaries_module.Program):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append([module.path for module in self.modules])
+
+    monkeypatch.setattr(summaries_module, "Program", CountingProgram)
+    return built
+
+
+def _sources(tree_path):
+    return {
+        path.read_text(): str(path) for path in sorted(tree_path.glob("*.py"))
+    }
+
+
+@pytest.fixture
+def annotated_tree(tree):
+    """The two-file tree with an ``# els:`` directive in each file (a
+    file that never spells the marker is not tokenized at all)."""
+    (tree / "hazard.py").write_text(
+        HOT_HAZARD.replace("key += part", "key += part  # els: noqa[ELS603]")
+    )
+    (tree / "caller.py").write_text(
+        CLEAN_CALLER.replace(
+            "def execute(parts):", "def execute(parts):  # els: hot=yes"
+        )
+    )
+    return tree
+
+
+class TestSharedFrontEnd:
+    def test_one_tokenize_and_one_index_cold(self, annotated_tree, monkeypatch):
+        tree = annotated_tree
+        annotated = _sources(tree)
+        (tree / "plain.py").write_text("def plain():\n    return 1\n")
+        reference = _run(tree, contracts=True)
+        tokenized = _count_tokenizes(monkeypatch)
+        indexes = _count_program_indexes(monkeypatch)
+        assert _run(tree, cache=None, contracts=True) == reference
+        assert tokenized == {source: 1 for source in annotated}
+        assert indexes == [sorted(_sources(tree).values())]
+
+    def test_one_tokenize_and_one_index_after_edit(
+        self, annotated_tree, tmp_path, monkeypatch
+    ):
+        tree = annotated_tree
+        root = str(tmp_path / "cache")
+        _run(tree, cache=LintCache(root), contracts=True)
+        caller = tree / "caller.py"
+        caller.write_text(caller.read_text() + "\n# edited\n")
+        reference = _run(tree, contracts=True)
+        tokenized = _count_tokenizes(monkeypatch)
+        indexes = _count_program_indexes(monkeypatch)
+        edited_cache = LintCache(root)
+        edited = _run(tree, cache=edited_cache, contracts=True)
+        assert edited == reference
+        assert edited_cache.stats.file_hits == 1
+        assert edited_cache.stats.component_misses == 2  # local + global
+        # The edited file is tokenized by stage 1, the cache hit on
+        # first use by the dirty component; the contracts global half
+        # reuses the component's index.
+        assert tokenized == {source: 1 for source in _sources(tree)}
+        assert indexes == [sorted(_sources(tree).values())]
+
+    def test_pool_workers_hand_back_directives(
+        self, annotated_tree, monkeypatch
+    ):
+        tree = annotated_tree
+        reference = _run(tree, contracts=True)
+        tokenized = _count_tokenizes(monkeypatch)
+        assert _run(tree, cache=None, contracts=True, jobs=2) == reference
+        # The workers tokenized every file; the parent tokenized none.
+        assert tokenized == {}
+
+    @pytest.mark.parametrize(
+        "analyze",
+        [
+            analyze_modules,
+            analyze_effect_modules,
+            analyze_concurrency_modules,
+            analyze_perf_modules,
+            analyze_contract_modules,
+        ],
+    )
+    def test_entry_points_skip_unparsed_modules(self, analyze, tree):
+        unparsed = ModuleUnderLint(
+            path=str(tree / "broken.py"), source="def broken(:\n", tree=None
+        )
+        assert analyze([unparsed]) == []
+        parsed = [
+            ModuleUnderLint(path=path, source=source, tree=ast.parse(source))
+            for source, path in _sources(tree).items()
+        ]
+        assert analyze(parsed + [unparsed]) == analyze(parsed)
 
 
 class TestRepoTrees:

@@ -419,6 +419,48 @@ def run():
         )
         assert "ELS703" not in codes
 
+    def test_callee_escape_caught_by_enclosing_handler(self, tmp_path):
+        codes = run_codes(
+            tmp_path,
+            EXCEPTION_PRELUDE
+            + '''
+
+def _helper():
+    raise Rogue("boom")
+
+
+def run():
+    """Run."""
+    try:
+        return _helper()
+    except Rogue:
+        return None
+''',
+        )
+        assert "ELS703" not in codes
+
+    def test_callee_escape_from_a_handler_body_is_not_caught_there(
+        self, tmp_path
+    ):
+        findings = run(
+            tmp_path,
+            EXCEPTION_PRELUDE
+            + '''
+
+def _helper():
+    raise Rogue("boom")
+
+
+def run():
+    """Run."""
+    try:
+        return 1
+    except Rogue:
+        return _helper()
+''',
+        )
+        assert "ELS703" in [d.code for d in findings]
+
 
 class TestELS704:
     SWALLOW = EXCEPTION_PRELUDE + '''
